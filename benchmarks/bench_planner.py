@@ -1,7 +1,7 @@
 """Planner benchmark: does ``engine="auto"`` actually pick winners?
 
 Times every fixed engine and the planner-routed ``auto`` on a grid of the
-three workload shapes the cost model distinguishes:
+workload shapes the cost model distinguishes:
 
 * ``enumeration``  — exhaustive soundness on an odd cycle: every one-bit
   certificate assignment, the vector engine's home turf (and the legacy
@@ -10,7 +10,12 @@ three workload shapes the cost model distinguishes:
   engine re-verifies only the touched closed neighbourhoods and the vector
   engine's fixed lane blocks are pure overhead;
 * ``single-shot``  — one honest-prover verification, where the compiled
-  engine's compile-once topology wins and everything else is setup cost.
+  engine's compile-once topology wins and everything else is setup cost;
+* ``batch``        — thousands of independent adversarial trials on a
+  no-instance (bipartiteness on an odd cycle), the shape of a no-instance
+  sweep point: the compiled engine's per-assignment early exit settles each
+  trial at its first rejecting vertex, so it beats delta and vector here —
+  the measured reason compiled is one of the engines ``auto`` routes to.
 
 **Two enforced bars** (the run exits non-zero otherwise):
 
@@ -120,7 +125,7 @@ def _time_cell(run, workload: Workload, quick: bool) -> dict:
     return {
         "engines": engines,
         "auto_s": auto_s,
-        "routed": choose_engine(workload).engine,
+        "routed": choose_engine(workload),
         "best_fixed": best_fixed,
         "best_fixed_s": engines[best_fixed],
         "worst_fixed": worst_fixed,
@@ -186,6 +191,21 @@ def single_shot_cell(n: int, quick: bool) -> dict:
     return cell
 
 
+def batch_cell(n: int, trials: int, quick: bool) -> dict:
+    """Adversarial trials on a no-instance: bipartiteness on an odd cycle."""
+    scheme = BipartitenessScheme()
+    graph = nx.cycle_graph(n)
+
+    def run(engine: str) -> None:
+        report = evaluate_scheme(scheme, graph, seed=7, adversarial_trials=trials, engine=engine)
+        assert not report.holds and report.soundness_ok
+
+    workload = Workload.batch(trials, n, max_degree=2)
+    cell = {"shape": "batch", "label": f"cycle:{n}", "n": n, "trials": trials}
+    cell.update(_time_cell(run, workload, quick))
+    return cell
+
+
 def bench_backends(n: int, quick: bool) -> dict:
     """The enumeration kernel pinned to each available lane backend."""
     scheme = BipartitenessScheme()
@@ -226,6 +246,7 @@ def main(argv=None) -> int:
             enumeration_cell(13, quick),
             sparse_cell(48, 150, quick),
             single_shot_cell(48, quick),
+            batch_cell(9, 3000, quick),
         ]
     else:
         cells = [
@@ -235,6 +256,8 @@ def main(argv=None) -> int:
             sparse_cell(96, 300, quick),
             single_shot_cell(48, quick),
             single_shot_cell(128, quick),
+            batch_cell(9, 3000, quick),
+            batch_cell(21, 3000, quick),
         ]
 
     report = {

@@ -3,8 +3,11 @@
 With four verification engines in the stack — legacy, compiled, delta,
 vector — every harness call faces a routing question: which one wins
 *this* workload?  ``engine="auto"`` (now the default everywhere) answers
-it with a calibrated cost model over a small :class:`~repro.planner.Workload`
+it with a fixed cost model over a small :class:`~repro.planner.Workload`
 descriptor — shape, assignment count, graph size, degree, diff density.
+The cost units are constants, so routing is a pure function of the workload
+and resolves identically on every host; ``engine=`` pins an engine when a
+caller wants a specific one.
 
 The routing-decision table the model encodes:
 
@@ -20,11 +23,10 @@ The routing-decision table the model encodes:
 The tour covers:
 
 1. **Asking the planner directly** — build a ``Workload``, read the
-   ``Plan`` (chosen engine, per-engine costs, calibration source);
+   per-engine modelled costs (``engine_costs``) and the routed engine
+   (``choose_engine``);
 2. **The one-line version** — ``engine="auto"`` on the harness, with the
-   resolved engine reported back on the evaluation;
-3. **Calibration** — re-fit the cost model's unit costs to this machine
-   and route with the fitted file via ``REPRO_CALIBRATION``.
+   resolved engine reported back on the evaluation.
 
 Run with::
 
@@ -45,15 +47,11 @@ from repro.core.scheme import (
 from repro.core.simple_schemes import BipartitenessScheme
 from repro.core.spanning_tree import TreeScheme
 from repro.graphs.generators import random_tree
-from repro.planner import Workload, choose_engine, load_calibration
+from repro.planner import Workload, choose_engine, engine_costs
 
 
 def main() -> None:
     # 1. Ask the planner directly: one descriptor per workload shape.
-    calibration = load_calibration()
-    print(f"calibration: source={calibration['source']!r}, "
-          f"compiled unit = {calibration['units']['compiled']}\n")
-
     workloads = [
         ("single-shot ", Workload.single_shot(48, max_degree=4)),
         ("batch       ", Workload.batch(50, 48, max_degree=4)),
@@ -63,12 +61,12 @@ def main() -> None:
     ]
     print("shape         routed    relative predicted costs")
     for label, workload in workloads:
-        plan = choose_engine(workload)
-        floor = min(plan.costs.values())
+        costs = engine_costs(workload)
+        floor = min(costs.values())
         relative = "  ".join(
-            f"{name} x{plan.costs[name] / floor:.1f}" for name in sorted(plan.costs)
+            f"{name} x{costs[name] / floor:.1f}" for name in sorted(costs)
         )
-        print(f"{label}  {plan.engine:<8}  {relative}")
+        print(f"{label}  {choose_engine(workload):<8}  {relative}")
 
     # 2. The one-line version: auto is the default on every harness entry
     # point; the evaluation reports which concrete engine actually ran.
@@ -92,16 +90,12 @@ def main() -> None:
     corrupted = soundness_under_corruption(TreeScheme(), tree, trials=150, seed=7)
     print(f"corruption sweep: auto routes to delta, sound={corrupted}")
 
-    # 3. Calibration: fit the unit costs to this machine.  The CLI writes a
-    # JSON file; point REPRO_CALIBRATION at it and every auto call routes
-    # with the fitted model instead of the committed default:
-    #
-    #     python -m repro.cli calibrate --output calibration.json
-    #     REPRO_CALIBRATION=calibration.json python -m repro.cli sweep ...
-    #
     # Fixed engines stay available for pinning (engine="vector" etc.), and
     # artifacts record engine_resolved so the results gate can flag drift.
-    print("\ncalibrate with: python -m repro.cli calibrate --output calibration.json")
+    pinned = soundness_under_corruption(
+        TreeScheme(), tree, trials=150, seed=7, engine="compiled"
+    )
+    print(f"pinned engine='compiled': same verdict {pinned == corrupted}")
 
 
 if __name__ == "__main__":

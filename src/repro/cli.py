@@ -869,27 +869,6 @@ def cmd_results(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    """Measure this machine's engine cost units and write a calibration file.
-
-    The planner loads its units from ``$REPRO_CALIBRATION`` (or the packaged
-    default) — point that variable at the written file to route ``auto``
-    requests with the measured units instead of the shipped ones.
-    """
-    from repro.planner import run_calibration, write_calibration
-
-    calibration = run_calibration(quick=args.quick)
-    path = write_calibration(calibration, args.output)
-    print(f"calibration: wrote {path}{' (quick probes)' if args.quick else ''}")
-    units = calibration["units"]
-    for name in sorted(units):
-        print(f"  {name:<18} {units[name]:.4f}")
-    cutoffs = calibration["max_table_bits"]
-    print(f"  max_table_bits   python={cutoffs['python']} numpy={cutoffs['numpy']}")
-    print(f"route with it:   REPRO_CALIBRATION={path} python -m repro.cli ...")
-    return 0
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -1336,24 +1315,6 @@ def main(argv: Optional[list] = None) -> int:
         help="record the measured series as the new baseline file/dir",
     )
 
-    calibrate = subparsers.add_parser(
-        "calibrate",
-        help="measure this machine's engine cost units for the auto planner "
-        "and write a calibration file",
-    )
-    calibrate.add_argument(
-        "--output",
-        default="calibration.json",
-        metavar="FILE",
-        help="where to write the calibration (default ./calibration.json); "
-        "export REPRO_CALIBRATION=FILE to route with it",
-    )
-    calibrate.add_argument(
-        "--quick",
-        action="store_true",
-        help="fewer probe repetitions (faster, noisier units — CI smoke)",
-    )
-
     args = parser.parse_args(argv)
     if args.command == "list":
         return cmd_list(args)
@@ -1373,8 +1334,6 @@ def main(argv: Optional[list] = None) -> int:
         return cmd_merge(args)
     if args.command == "results":
         return cmd_results(args)
-    if args.command == "calibrate":
-        return cmd_calibrate(args)
     return cmd_certify(args)
 
 

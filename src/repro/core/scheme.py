@@ -30,9 +30,9 @@ all of them:
 * ``"vector"``   — :class:`~repro.network.vector.VectorNetwork` evaluating a
   whole block of assignments per pass, one bit-parallel lane each;
 * ``"auto"``     — the default: the workload-aware planner of
-  :mod:`repro.planner` picks among the four from a calibrated cost model
-  once the workload's shape (single-shot / batch / sparse-diff /
-  enumeration) is known.
+  :mod:`repro.planner` picks from a fixed cost model once the workload's
+  shape (single-shot / batch / sparse-diff / enumeration) is known, so the
+  same instance routes to the same engine on every host.
 
 Adversarial trials derive an independent seed per trial index
 (:func:`derive_trial_seed`), so any sub-range of a sweep can be reproduced

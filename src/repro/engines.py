@@ -22,20 +22,22 @@ The four concrete engines, in the order they were built:
   blocks accepted/rejected columnwise per pass.
 
 ``"auto"`` (the default everywhere an engine is not pinned) is not a fifth
-implementation: it defers the pick to the workload-aware cost model in
+implementation: it defers the pick to the fixed cost model in
 :mod:`repro.planner` at the point where the workload's shape is known.
 :func:`resolve_engine` is that seam — every entry point that accepts
 ``engine=`` calls it with a :class:`~repro.planner.Workload` descriptor and
-runs whichever concrete engine comes back.
+runs whichever concrete engine comes back.  Routing is a pure function of
+the workload, so the ``engine=`` argument is the only way to change it.
 
-This module is intentionally dependency-free (stdlib only) so the service's
-message layer can import it without pulling in the engines themselves; the
-planner import inside :func:`resolve_engine` is lazy for the same reason.
+This module and the planner are stdlib-only, so the service's message layer
+can import the vocabulary without pulling in the engines themselves.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
+
+from repro.planner import Workload, choose_engine
 
 #: The concrete engines, in build order.
 CONCRETE_ENGINES = ("legacy", "compiled", "delta", "vector")
@@ -67,22 +69,10 @@ def validate_engine(
     raise ValueError(f"unknown engine {engine!r}{where}; use one of: {choices}")
 
 
-def resolve_engine(
-    engine: str,
-    workload=None,
-    allowed: Sequence[str] = CONCRETE_ENGINES,
-) -> str:
+def resolve_engine(engine: str, workload: Workload) -> str:
     """Resolve ``engine`` to a concrete engine name.
 
-    A pinned concrete engine passes through untouched.  ``"auto"`` asks the
-    planner to cost ``workload`` (a :class:`repro.planner.Workload`) against
-    the ``allowed`` candidates; with no workload descriptor it falls back to
-    ``"compiled"``, the all-round baseline.
+    A pinned concrete engine passes through (after validation); ``"auto"``
+    asks the planner for the cheapest engine on ``workload``.
     """
-    if engine != AUTO_ENGINE:
-        return validate_engine(engine, allowed=tuple(allowed) + (AUTO_ENGINE,))
-    if workload is None:
-        return "compiled" if "compiled" in allowed else tuple(allowed)[0]
-    from repro.planner import choose_engine
-
-    return choose_engine(workload, allowed=tuple(allowed)).engine
+    return choose_engine(workload) if engine == AUTO_ENGINE else validate_engine(engine)

@@ -37,7 +37,6 @@ from repro.experiments.artifacts import (
     ExperimentResult,
 )
 from repro.engines import resolve_engine, validate_engine
-from repro.planner import Workload
 from repro.experiments.bounds import FittedBound, fit_series
 from repro.experiments.spec import ExperimentSpec, raise_if_stopped
 from repro.lower_bounds.catalog import (
@@ -262,29 +261,12 @@ def run_lower_bound_point(spec: LowerBoundSpec, index: int) -> LowerBoundPoint:
             # so one identifier assignment serves both probes.
             graph = framework.build_graph(*equal_pair)
             ids = assign_identifiers(graph, sequential=True)
-            # Resolve "auto" once per point from the simulation's shape (the
-            # same descriptor simulate_protocol would build internally) and
-            # pin both probes to the outcome so the point records exactly
-            # the engine that ran.
-            present = {v for v in graph.nodes() if graph.degree(v) > 0}
-            bits = spec.simulate_bits
-            middle = sum(
-                1
-                for v in list(framework.v_alpha) + list(framework.v_beta)
-                if v in present
-            )
-            side_a = sum(1 for v in framework.v_a if v in present)
-            side_b = sum(1 for v in framework.v_b if v in present)
+            # Resolve "auto" once per point through the framework's own
+            # workload descriptor and pin both probes to the outcome, so the
+            # point records exactly the engine that ran.
             engine_resolved = resolve_engine(
                 spec.engine,
-                Workload.enumeration(
-                    (1 << (bits * middle))
-                    * ((1 << (bits * side_a)) + (1 << (bits * side_b))),
-                    len(present),
-                    max((d for _, d in graph.degree()), default=0),
-                    max_bits=bits,
-                ),
-                allowed=("compiled", "delta", "vector"),
+                framework.protocol_workload(*equal_pair, spec.simulate_bits),
             )
             try:
                 probe_accepted = framework.simulate_protocol(

@@ -143,8 +143,9 @@ def render_experiments_md(
                 "",
                 "Points whose resolved engine differs from the routing the",
                 "committed baseline recorded.  Informational: engines are",
-                "verdict-equivalent, so drift cannot change a result — it",
-                "usually means a recalibration or a planner change.",
+                "verdict-equivalent, so drift cannot change a result.  Routing",
+                "is a pure function of the workload, so drift means a cost-model",
+                "change or an instance whose shape changed.",
                 "",
             ]
         )
@@ -192,8 +193,8 @@ class BaselineReport:
     routing_drift: List[str] = field(default_factory=list)
     """Points whose resolved engine differs from the baseline's recorded
     routing — informational (engines are verdict-equivalent by contract;
-    drift usually means a recalibration or a planner change), never a
-    gate failure."""
+    routing is a pure function of the workload, so drift means a cost-model
+    change or a changed instance shape), never a gate failure."""
 
     @property
     def ok(self) -> bool:

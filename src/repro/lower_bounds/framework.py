@@ -127,6 +127,45 @@ class ReductionFramework:
     # Alice/Bob simulation of a local verifier (proof of Proposition 7.2)
     # ------------------------------------------------------------------
 
+    def _simulated_parts(
+        self, s_a: str, s_b: str
+    ) -> Tuple[nx.Graph, List[Vertex], List[Vertex], List[Vertex]]:
+        """The simulated graph and its middle, Alice-side and Bob-side vertices.
+
+        Fixed-size private parts may leave padding vertices isolated
+        (shorter strings use fewer encoding vertices); they are dropped
+        exactly as the instance constructions do — the model only considers
+        connected graphs, and the players never read a padding certificate.
+        """
+        graph = self.build_graph(s_a, s_b)
+        used = [v for v in graph.nodes() if graph.degree(v) > 0]
+        graph = graph.subgraph(used).copy()
+        present = set(used)
+        middle = [v for v in list(self.v_alpha) + list(self.v_beta) if v in present]
+        side_a = [v for v in self.v_a if v in present]
+        side_b = [v for v in self.v_b if v in present]
+        return graph, middle, side_a, side_b
+
+    def protocol_workload(
+        self, s_a: str, s_b: str, certificate_bits_per_vertex: int
+    ) -> Workload:
+        """The enumeration :meth:`simulate_protocol` runs on (s_A, s_B).
+
+        Per prover message (one per middle assignment) each player
+        enumerates their side's certificate assignments.  ``"auto"``
+        resolves against this descriptor, so a caller recording the engine
+        of a simulation resolves it here too.
+        """
+        graph, middle, side_a, side_b = self._simulated_parts(s_a, s_b)
+        bits = certificate_bits_per_vertex
+        return Workload.enumeration(
+            (1 << (bits * len(middle)))
+            * ((1 << (bits * len(side_a))) + (1 << (bits * len(side_b)))),
+            graph.number_of_nodes(),
+            max((d for _, d in graph.degree()), default=0),
+            max_bits=bits,
+        )
+
     def simulate_protocol(
         self,
         scheme: CertificationScheme,
@@ -159,7 +198,7 @@ class ReductionFramework:
         with the prover message pinned, so a whole block of side assignments
         settles per pass.  All quantify over the same sets and return the
         same boolean; ``"auto"`` (the default) lets the planner pick from
-        the sweep's enumeration shape (the legacy engine is not implemented
+        :meth:`protocol_workload` (the legacy engine is not implemented
         here — the sweep is enumeration-only).
         """
         validate_engine(
@@ -167,20 +206,10 @@ class ReductionFramework:
             allowed=("compiled", "delta", "vector", "auto"),
             context="simulate_protocol",
         )
-        graph = self.build_graph(s_a, s_b)
-        # Fixed-size private parts may leave padding vertices isolated
-        # (shorter strings use fewer encoding vertices); drop them exactly as
-        # the instance constructions do — the model only considers connected
-        # graphs, and the players never read a padding certificate.
-        used = [v for v in graph.nodes() if graph.degree(v) > 0]
-        graph = graph.subgraph(used).copy()
-        present = set(used)
+        graph, middle, side_a, side_b = self._simulated_parts(s_a, s_b)
         # One compiled topology serves every assignment of the double
         # exponential sweep below; only certificate bytes change per run.
         network = CompiledNetwork(graph, identifiers=ids)
-        middle = [v for v in list(self.v_alpha) + list(self.v_beta) if v in present]
-        side_a = [v for v in self.v_a if v in present]
-        side_b = [v for v in self.v_b if v in present]
         total_side_bits_a = certificate_bits_per_vertex * len(side_a)
         total_side_bits_b = certificate_bits_per_vertex * len(side_b)
         if max(total_side_bits_a, total_side_bits_b) > max_side_bits:
@@ -188,19 +217,8 @@ class ReductionFramework:
         middle_bits = certificate_bits_per_vertex * len(middle)
         if middle_bits > max_side_bits:
             raise ValueError("instance too large for exhaustive protocol simulation")
-        # Resolve "auto" once the sweep's size is known: per prover message
-        # (2^middle_bits of them) each player enumerates their side's
-        # certificate assignments.
         engine = resolve_engine(
-            engine,
-            Workload.enumeration(
-                (1 << middle_bits)
-                * ((1 << total_side_bits_a) + (1 << total_side_bits_b)),
-                graph.number_of_nodes(),
-                max((d for _, d in graph.degree()), default=0),
-                max_bits=certificate_bits_per_vertex,
-            ),
-            allowed=("compiled", "delta", "vector"),
+            engine, self.protocol_workload(s_a, s_b, certificate_bits_per_vertex)
         )
 
         if engine == "delta":

@@ -66,12 +66,6 @@ Verifier = Callable[..., bool]
 #: Backend names accepted by :class:`VectorNetwork`.
 VECTOR_BACKENDS = ("auto", "python", "numpy")
 
-#: Above this many local-configuration bits a vertex is evaluated per-lane
-#: (memoised scalar calls) instead of via a dense truth table: the Shannon
-#: reduction costs ``2**m`` multiplex steps, which stops paying for itself
-#: once it rivals the lane count.
-DEFAULT_MAX_TABLE_BITS = 12
-
 
 # ---------------------------------------------------------------------------
 # Lane-word backends
@@ -86,6 +80,11 @@ class _PythonBackend:
     #: sweet spot where interpreter overhead, not carry-free arithmetic,
     #: dominates.
     default_block_lanes = 2048
+    #: Above this many local-configuration bits a vertex is evaluated
+    #: per-lane (memoised scalar calls) instead of via a dense truth table:
+    #: the Shannon reduction costs ``2**m`` multiplex steps, which stops
+    #: paying for itself once it rivals the lane count.
+    default_max_table_bits = 12
 
     @staticmethod
     def pack(value: int, lanes: int):
@@ -106,6 +105,8 @@ class _NumpyBackend:
     name = "numpy"
     #: Larger blocks amortise numpy's per-operation dispatch overhead.
     default_block_lanes = 1 << 16
+    #: Wider blocks amortise bigger truth tables.
+    default_max_table_bits = 14
 
     def __init__(self, numpy) -> None:
         self._np = numpy
@@ -266,15 +267,7 @@ class VectorNetwork:
         self._block_lanes = block_lanes
         self._block_bits = block_lanes.bit_length() - 1
         if max_table_bits is None:
-            # Per-backend cutoff from the planner's calibration (wider numpy
-            # blocks amortise bigger tables); the analytic default stands in
-            # when no calibration is loadable.
-            try:
-                from repro.planner import calibrated_max_table_bits
-
-                max_table_bits = calibrated_max_table_bits(self._backend.name)
-            except Exception:
-                max_table_bits = DEFAULT_MAX_TABLE_BITS
+            max_table_bits = self._backend.default_max_table_bits
         if max_table_bits < 0:
             raise ValueError("max_table_bits must be non-negative")
         self._max_table_bits = max_table_bits

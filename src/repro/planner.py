@@ -2,7 +2,7 @@
 
 Four engines execute the same verification semantics at wildly different
 speeds depending on the *shape* of the workload (see BENCH_engine /
-BENCH_delta / BENCH_vector):
+BENCH_delta / BENCH_vector / BENCH_planner):
 
 * ``legacy``   — per-vertex dict views, the reference implementation;
   ~11× slower than compiled per (assignment, vertex).
@@ -16,44 +16,49 @@ BENCH_delta / BENCH_vector):
   candidates per bitwise operation, but pays a per-block cost that never
   amortises on small batches.
 
-This module turns those measured ratios into an explicit analytic cost
-model over a :class:`Workload` descriptor, refined by an optional one-shot
-micro-calibration (``python -m repro.cli calibrate`` → ``calibration.json``).
-:func:`choose_engine` is the single routing decision point; callers reach it
-through :func:`repro.engines.resolve_engine`.
+This module turns those measured ratios into a fixed analytic cost model
+over a :class:`Workload` descriptor.  The cost units are module constants,
+so routing is a pure function of the workload: the same workload resolves
+to the same engine on every host.  :func:`choose_engine` is the single
+routing decision point; callers reach it through
+:func:`repro.engines.resolve_engine`.
 
 The model deliberately prices the vector engine with the *python* backend's
-lane count: routing must resolve identically whether or not numpy is
-importable (artifacts and replay caches are compared byte-for-byte across
-backend legs), and the python backend is always executable — the planner
-never picks a plan the host cannot run.
+lane count and truth-table cutoff: routing must resolve identically whether
+or not numpy is importable (artifacts and replay caches are compared
+byte-for-byte across backend legs), and the python backend is always
+executable — the planner never picks a plan the host cannot run.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import functools
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
 #: Engine names the planner can resolve ``"auto"`` to, in tie-break order:
 #: when two engines tie on modelled cost the earlier name wins (the simpler,
-#: more battle-tested engine).
-PLANNER_PREFERENCE = ("compiled", "delta", "vector", "legacy")
+#: more battle-tested engine).  ``legacy`` is priced but never a candidate —
+#: at ~11× compiled it is strictly dominated.
+PLANNER_PREFERENCE = ("compiled", "delta", "vector")
 
 #: Workload shapes the cost model distinguishes.
 WORKLOAD_SHAPES = ("single-shot", "batch", "sparse-diff", "enumeration")
 
-#: Environment variable naming an alternative calibration file.
-CALIBRATION_ENV = "REPRO_CALIBRATION"
+# Cost units, in compiled (assignment, vertex) evaluations.
+_LEGACY = 11.0  # per evaluation (BENCH_engine)
+_COMPILED = 1.0  # per evaluation: the unit itself
+_DELTA_SETUP = 1.0  # per vertex of a session's initial full evaluation
+_DELTA_TOUCH = 0.52  # per closed-neighbourhood re-verification (BENCH_delta)
+_VECTOR_ENUM = 0.0069  # per (assignment, vertex) of a table sweep (BENCH_vector)
+_VECTOR_BLOCK = 1.2  # per (lane, vertex) of per-lane scalar evaluation
+_VECTOR_TABLE_FILL = 1.0  # per truth-table entry
 
-#: The committed calibration shipped with the package (analytic defaults
-#: refined from the committed BENCH_* reports).
-DEFAULT_CALIBRATION_PATH = Path(__file__).resolve().parent / "calibration.json"
-
-#: Calibration file layout version.
-CALIBRATION_SCHEMA = 1
+#: Lane count and truth-table cutoff the cost model assumes for the vector
+#: engine: the *python* backend's defaults, so routing does not depend on
+#: whether numpy is importable (see module docstring).
+_MODEL_LANES = 2048
+_MODEL_TABLE_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -156,128 +161,8 @@ class Workload:
             bits_per_vertex=max_bits,
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        return dict(self.__dict__)
 
-
-@dataclass(frozen=True)
-class Plan:
-    """One routing decision, fully observable."""
-
-    engine: str
-    workload: Workload
-    costs: Mapping[str, float]
-    """Modelled cost of every candidate engine, in compiled
-    (assignment, vertex) units."""
-    backend: str
-    """Vector-lane backend available on this host (informational — the cost
-    model prices the python backend so routing is host-independent)."""
-    calibration_source: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "engine": self.engine,
-            "workload": self.workload.to_dict(),
-            "costs": dict(self.costs),
-            "backend": self.backend,
-            "calibration_source": self.calibration_source,
-        }
-
-
-# ---------------------------------------------------------------------------
-# Calibration
-# ---------------------------------------------------------------------------
-
-#: Analytic fallback used when no calibration file is readable; the shipped
-#: ``calibration.json`` carries the same numbers, refined by measurement.
-_FALLBACK_CALIBRATION: Dict[str, object] = {
-    "schema": CALIBRATION_SCHEMA,
-    "source": "analytic",
-    "units": {
-        "legacy": 11.0,
-        "compiled": 1.0,
-        "delta_setup": 1.0,
-        "delta_touch": 0.52,
-        "vector_enum": 0.0069,
-        "vector_block": 1.2,
-        "vector_table_fill": 1.0,
-    },
-    "max_table_bits": {"python": 12, "numpy": 14},
-}
-
-_calibration_cache: Dict[str, Dict[str, object]] = {}
-
-
-def load_calibration(path: Optional[os.PathLike] = None) -> Dict[str, object]:
-    """Load the cost-model calibration, lazily cached per resolved path.
-
-    Resolution order: an explicit ``path`` argument, the
-    :data:`CALIBRATION_ENV` environment variable, then the committed default
-    next to this module.  An unreadable or wrong-schema file falls back to
-    the analytic constants rather than failing the caller — a planner that
-    cannot load its tuning must still route.
-    """
-    if path is None:
-        env = os.environ.get(CALIBRATION_ENV)
-        path = Path(env) if env else DEFAULT_CALIBRATION_PATH
-    else:
-        path = Path(path)
-    key = str(path)
-    cached = _calibration_cache.get(key)
-    if cached is not None:
-        return cached
-    try:
-        data = json.loads(path.read_text())
-        if data.get("schema") != CALIBRATION_SCHEMA:
-            raise ValueError(f"calibration schema {data.get('schema')!r}")
-        units = {name: float(v) for name, v in data["units"].items()}
-        table_bits = {name: int(v) for name, v in data["max_table_bits"].items()}
-        calibration = {
-            "schema": CALIBRATION_SCHEMA,
-            "source": str(data.get("source", key)),
-            "units": units,
-            "max_table_bits": table_bits,
-        }
-    except (OSError, ValueError, KeyError, TypeError):
-        calibration = _FALLBACK_CALIBRATION
-    _calibration_cache[key] = calibration
-    return calibration
-
-
-def clear_calibration_cache() -> None:
-    """Forget loaded calibrations (tests and ``cli calibrate`` use this)."""
-    _calibration_cache.clear()
-    _plan_cache.clear()
-
-
-def calibrated_max_table_bits(backend: str, path: Optional[os.PathLike] = None) -> int:
-    """The truth-table cutoff the calibration records for ``backend``."""
-    calibration = load_calibration(path)
-    table_bits: Mapping[str, int] = calibration["max_table_bits"]  # type: ignore[assignment]
-    default = _FALLBACK_CALIBRATION["max_table_bits"]["python"]  # type: ignore[index]
-    return int(table_bits.get(backend, table_bits.get("python", default)))
-
-
-def numpy_available() -> bool:
-    """Whether the numpy lane backend is importable (no numpy import cost)."""
-    import importlib.util
-
-    return importlib.util.find_spec("numpy") is not None
-
-
-# ---------------------------------------------------------------------------
-# The cost model
-# ---------------------------------------------------------------------------
-
-#: Lane count the cost model assumes for the vector engine.  Deliberately
-#: the *python* backend's block size: routing must not depend on whether
-#: numpy is importable (see module docstring).
-_MODEL_LANES = 2048
-
-
-def engine_costs(
-    workload: Workload, calibration: Optional[Mapping[str, object]] = None
-) -> Dict[str, float]:
+def engine_costs(workload: Workload) -> Dict[str, float]:
     """Modelled cost of every engine on ``workload``, in compiled units.
 
     One unit is the compiled engine's full evaluation of one assignment on
@@ -297,9 +182,6 @@ def engine_costs(
       the engine still pays full per-lane evaluation with no counter
       structure to exploit — it never wins there.
     """
-    if calibration is None:
-        calibration = load_calibration()
-    units: Mapping[str, float] = calibration["units"]  # type: ignore[assignment]
     # Exhaustive sweeps can describe 2**(bits·n) assignments — far beyond
     # float range; the routing decision is identical past this cap.
     a = float(min(workload.assignments, 1 << 62))
@@ -307,195 +189,33 @@ def engine_costs(
     degree = max(0, workload.max_degree)
 
     costs: Dict[str, float] = {}
-    costs["legacy"] = a * n * units["legacy"]
-    costs["compiled"] = a * n * units["compiled"]
+    costs["legacy"] = a * n * _LEGACY
+    costs["compiled"] = a * n * _COMPILED
 
     changes = max(1.0, workload.diff_density * n) if n else 1.0
-    costs["delta"] = n * units["delta_setup"] + a * changes * (1 + degree) * units[
-        "delta_touch"
-    ]
+    costs["delta"] = n * _DELTA_SETUP + a * changes * (1 + degree) * _DELTA_TOUCH
 
     if workload.shape == "enumeration" and workload.bits_per_vertex > 0:
-        table_bits: Mapping[str, int] = calibration["max_table_bits"]  # type: ignore[assignment]
-        cutoff = int(table_bits.get("python", 12))
         m = workload.bits_per_vertex * (1 + degree)
-        if m <= cutoff:
-            table_fill = n * float(1 << m) * units["vector_table_fill"]
-            costs["vector"] = table_fill + a * n * units["vector_enum"]
+        if m <= _MODEL_TABLE_BITS:
+            table_fill = n * float(1 << m) * _VECTOR_TABLE_FILL
+            costs["vector"] = table_fill + a * n * _VECTOR_ENUM
         else:
-            costs["vector"] = a * n * units["vector_block"]
+            costs["vector"] = a * n * _VECTOR_BLOCK
     else:
         # No counter structure to exploit: the vector engine evaluates each
         # assignment per-lane, paying block-packing overhead on top.
-        costs["vector"] = max(a, float(_MODEL_LANES)) * n * units["vector_block"]
+        costs["vector"] = max(a, float(_MODEL_LANES)) * n * _VECTOR_BLOCK
     return costs
 
 
-#: Memoized plans for the default-calibration path: routing a workload the
-#: process has already priced must cost a dict lookup, not a re-pricing —
-#: the planner sits on sub-millisecond hot paths (single-shot verifications)
-#: where recomputation would eat into the very wins it is routing toward.
-_plan_cache: Dict[Tuple[str, "Workload", Tuple[str, ...]], "Plan"] = {}
+@functools.lru_cache(maxsize=4096)
+def choose_engine(workload: Workload) -> str:
+    """The cheapest engine of :data:`PLANNER_PREFERENCE` for ``workload``.
 
-
-def choose_engine(
-    workload: Workload,
-    allowed: Tuple[str, ...] = PLANNER_PREFERENCE,
-    calibration: Optional[Mapping[str, object]] = None,
-) -> Plan:
-    """Pick the cheapest allowed engine for ``workload``.
-
-    Ties break toward the earlier entry of :data:`PLANNER_PREFERENCE`.
-    ``allowed`` restricts candidates (e.g. ``simulate_protocol`` cannot run
-    the legacy engine).
+    Ties break toward the earlier entry.  Memoised: the planner sits on
+    sub-millisecond hot paths (single-shot verifications), so routing a
+    workload the process has already priced costs a dict lookup.
     """
-    if calibration is None:
-        env = os.environ.get(CALIBRATION_ENV)
-        key = (
-            str(Path(env) if env else DEFAULT_CALIBRATION_PATH),
-            workload,
-            tuple(allowed),
-        )
-        cached = _plan_cache.get(key)
-        if cached is not None:
-            return cached
-        plan = choose_engine(workload, allowed, load_calibration())
-        if len(_plan_cache) < 4096:
-            _plan_cache[key] = plan
-        return plan
-    costs = engine_costs(workload, calibration)
-    candidates = [name for name in PLANNER_PREFERENCE if name in allowed]
-    if not candidates:
-        raise ValueError(f"no allowed engine among {allowed!r}")
-    winner = min(candidates, key=lambda name: costs[name])
-    return Plan(
-        engine=winner,
-        workload=workload,
-        costs={name: costs[name] for name in candidates},
-        backend="numpy" if numpy_available() else "python",
-        calibration_source=str(calibration.get("source", "?")),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Micro-calibration (``python -m repro.cli calibrate``)
-# ---------------------------------------------------------------------------
-
-
-def run_calibration(quick: bool = False) -> Dict[str, object]:
-    """Measure the cost-model constants with a few hundred ms of probes.
-
-    Probes the four engines on small kernels shaped like the workloads the
-    model distinguishes and expresses every constant relative to the
-    compiled engine's measured per-(assignment, vertex) rate — the same
-    normalisation the analytic defaults use, so a calibration file and the
-    fallback are interchangeable.
-    """
-    import time
-
-    import networkx as nx
-
-    from repro.caching import clear_caches
-    from repro.core.scheme import (
-        evaluate_scheme,
-        exhaustive_soundness_holds,
-        soundness_under_corruption,
-    )
-    from repro.core.simple_schemes import BipartitenessScheme
-    from repro.core.spanning_tree import TreeScheme
-    from repro.graphs.generators import random_tree
-
-    def timed(fn, repeats: int) -> float:
-        fn()  # untimed warmup: one-time compilation costs are not the engine's
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        return max(time.perf_counter() - start, 1e-9)
-
-    repeats = 2 if quick else 5
-
-    # -- batch probe: legacy vs compiled per (assignment, vertex) ----------
-    scheme = TreeScheme()
-    batch_graph = random_tree(32, seed=3)
-    # The batch probe needs a *no*-instance: only there does evaluate_scheme
-    # sweep the adversarial schedule through the engine (a yes-instance runs
-    # one honest verification and the probe would measure prover overhead).
-    no_graph = nx.cycle_graph(32)
-    trials = 20
-
-    def batch(engine: str) -> None:
-        evaluate_scheme(scheme, no_graph, seed=3, adversarial_trials=trials, engine=engine)
-
-    clear_caches()
-    compiled_batch_s = timed(lambda: batch("compiled"), repeats)
-    legacy_batch_s = timed(lambda: batch("legacy"), repeats)
-    unit_s = compiled_batch_s  # one compiled unit · trials · n, factored out below
-    # The reference simulator re-interprets the verifier per assignment; it
-    # cannot genuinely beat the compiled row, so a probe that says otherwise
-    # measured fixed overhead, not engine work — clamp to parity (the
-    # tie-break preference keeps routing away from legacy).
-    legacy_unit = max(legacy_batch_s / unit_s, 1.0)
-
-    # -- sparse-diff probe: delta per-touch constant -----------------------
-    corruption_trials = 60 if quick else 150
-
-    def corruption(engine: str) -> None:
-        soundness_under_corruption(
-            scheme, batch_graph, trials=corruption_trials, seed=3, engine=engine
-        )
-
-    clear_caches()
-    compiled_corruption_s = timed(lambda: corruption("compiled"), repeats)
-    delta_corruption_s = timed(lambda: corruption("delta"), repeats)
-    n = batch_graph.number_of_nodes()
-    degree = max(dict(batch_graph.degree()).values())
-    compiled_per_unit = compiled_corruption_s / (corruption_trials * n)
-    # delta cost ≈ n·setup + trials·(1+deg)·touch; attribute half the
-    # measured time to touches when the algebra degenerates.
-    touch_s = max(
-        (delta_corruption_s - n * compiled_per_unit) / (corruption_trials * (1 + degree)),
-        delta_corruption_s / (2 * corruption_trials * (1 + degree)),
-    )
-    delta_touch = touch_s / compiled_per_unit
-
-    # -- enumeration probe: vector per-lane constant -----------------------
-    enum_n = 11 if quick else 13
-    enum_graph = nx.cycle_graph(enum_n)
-    bip = BipartitenessScheme()
-    assignments = 1 << enum_n
-
-    def enum(engine: str) -> None:
-        exhaustive_soundness_holds(bip, enum_graph, max_bits=1, engine=engine)
-
-    clear_caches()
-    compiled_enum_s = timed(lambda: enum("compiled"), repeats)
-    vector_enum_s = timed(lambda: enum("vector"), repeats)
-    compiled_enum_unit = compiled_enum_s / (assignments * enum_n)
-    vector_enum = (vector_enum_s / (assignments * enum_n)) / compiled_enum_unit
-
-    units = {
-        "legacy": round(legacy_unit, 4),
-        "compiled": 1.0,
-        "delta_setup": 1.0,
-        "delta_touch": round(delta_touch, 4),
-        "vector_enum": round(vector_enum, 6),
-        "vector_block": _FALLBACK_CALIBRATION["units"]["vector_block"],  # type: ignore[index]
-        "vector_table_fill": 1.0,
-    }
-    return {
-        "schema": CALIBRATION_SCHEMA,
-        "source": "calibrate",
-        "units": units,
-        "max_table_bits": dict(_FALLBACK_CALIBRATION["max_table_bits"]),  # type: ignore[arg-type]
-    }
-
-
-def write_calibration(
-    calibration: Mapping[str, object], path: os.PathLike
-) -> Path:
-    """Write ``calibration`` as JSON and drop it from the lazy cache."""
-    path = Path(path)
-    path.write_text(json.dumps(calibration, indent=2, sort_keys=True) + "\n")
-    _calibration_cache.pop(str(path), None)
-    _plan_cache.clear()
-    return path
+    costs = engine_costs(workload)
+    return min(PLANNER_PREFERENCE, key=lambda name: costs[name])

@@ -15,7 +15,10 @@ from repro.experiments import (
     run_radius,
     write_artifact,
 )
+import repro.lower_bounds.framework as framework_module
+from repro.engines import resolve_engine
 from repro.lower_bounds.catalog import LOWER_BOUND_CONSTRUCTIONS, get_construction
+from repro.lower_bounds.framework import ReductionFramework
 from repro.registry import RegistryError
 
 
@@ -121,6 +124,42 @@ class TestRunLowerBound:
         assert normalized["compiled"] == normalized["delta"] == normalized["vector"]
         assert results["delta"].all_ok
         assert results["delta"].points[0].protocol_ok is True
+
+    @pytest.mark.parametrize("size", (2, 3))
+    @pytest.mark.parametrize("bits", (1, 2))
+    def test_recorded_engine_is_the_one_simulate_protocol_resolves(
+        self, monkeypatch, size, bits
+    ):
+        calls = []
+        simulate = ReductionFramework.simulate_protocol
+
+        def recording(framework, *args, **kwargs):
+            calls.append((framework, args, kwargs))
+            return simulate(framework, *args, **kwargs)
+
+        monkeypatch.setattr(ReductionFramework, "simulate_protocol", recording)
+        result = run_lower_bound(
+            LowerBoundSpec(
+                construction="automorphism", sizes=(size,), simulate=True,
+                simulate_bits=bits,
+            )
+        )
+        point = result.points[0]
+        assert point.protocol_ok is True and point.engine_resolved is not None
+        assert calls and all(kw["engine"] == point.engine_resolved for _, _, kw in calls)
+
+        # Replay each probe with "auto" and capture what the simulation
+        # itself resolves: it must be the engine the artifact recorded.
+        resolved = []
+
+        def spy(engine, workload):
+            resolved.append(resolve_engine(engine, workload))
+            return resolved[-1]
+
+        monkeypatch.setattr(framework_module, "resolve_engine", spy)
+        for framework, args, kwargs in calls:
+            simulate(framework, *args, **{**kwargs, "engine": "auto"})
+        assert resolved == [point.engine_resolved] * len(calls)
 
     def test_oversized_simulation_is_skipped_not_failed(self):
         result = run_lower_bound(
