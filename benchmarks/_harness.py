@@ -23,7 +23,6 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import networkx as nx
 
-from repro import api
 from repro.core.cache import cached_identifiers
 from repro.core.scheme import CertificationScheme, evaluate_scheme
 from repro.experiments import (
@@ -38,6 +37,7 @@ from repro.experiments import (
     run_kernel,
     run_lower_bound,
     run_radius,
+    run_sweep,
 )
 
 
@@ -104,11 +104,11 @@ def sweep_result(spec: SweepSpec) -> SweepResult:
     adversaries rejected on every no-instance, and — when the spec checks it
     — the measured series within the registered asymptotic bound.
 
-    Sweeps route through the process-wide certification service (the
-    :mod:`repro.api` facade), so every benchmark in a session shares one set
-    of warm topology/ground-truth caches and shows up in ``api.stats()``.
+    Sweeps run in-process on the process-wide LRU caches, so every
+    benchmark in a session shares one set of warm topology/ground-truth
+    caches.
     """
-    result = api.default_service().run_sweep_spec(spec.validate())
+    result = run_sweep(spec.validate())
     assert result.all_accepted, f"{spec.label}: an honest proof was rejected"
     assert result.all_sound, f"{spec.label}: an adversarial assignment was accepted"
     if result.bound is not None:

@@ -25,6 +25,10 @@ workload shapes the cost model distinguishes:
   beats the worst fixed engine by ``WORST_SPEEDUP_BAR``× — the planner must
   not merely match a reasonable default, it must dodge the pathological one.
 
+Within a cell the engines' timing samples are interleaved round by round
+(rotating the order), so machine noise hits every engine alike and the bars
+compare routing, not scheduling.
+
 The enumeration cells also report the vector engine's kernel compilation
 (``used_fallback`` from the truth-table compiler) and a per-backend row for
 every available lane backend; CI runs this benchmark in both the
@@ -43,6 +47,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -77,28 +82,38 @@ WITHIN_BEST_BAR = 1.15
 WORST_SPEEDUP_BAR = 3.0
 
 
-def _percall(fn, quick: bool) -> float:
-    """Best-of-samples per-call seconds, with repeats sized to damp noise.
+def _repeats(fn, quick: bool) -> int:
+    """Calls per timed sample, after one untimed warmup.
 
-    One untimed warmup pays the one-time costs shared by every engine
-    (compilation, ground truth); cheap calls are batched until a sample is
-    long enough to time meaningfully, and the minimum over samples damps
-    scheduler noise — a 1.15× bar on a millisecond kernel needs both.
+    The warmup pays the one-time costs shared by every engine (compilation,
+    ground truth); cheap calls are batched until a sample is long enough to
+    time meaningfully — a 1.15× bar on a millisecond kernel needs it.
     """
     fn()
     start = time.perf_counter()
     fn()
     once = max(time.perf_counter() - start, 1e-9)
-    target_s = 0.02 if quick else 0.05
-    repeats = max(1, min(int(target_s / once), 200))
-    samples = 2 if quick else 3
-    best = float("inf")
-    for _ in range(samples):
-        begin = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        best = min(best, (time.perf_counter() - begin) / repeats)
-    return best
+    target_s = 0.01 if quick else 0.025
+    return max(1, min(int(target_s / once), 200))
+
+
+def _sample(fn, repeats: int) -> float:
+    """Per-call seconds of one sample of ``repeats`` back-to-back calls."""
+    begin = time.perf_counter()
+    for _ in range(repeats):
+        fn()
+    return (time.perf_counter() - begin) / repeats
+
+
+def _rounds(quick: bool) -> int:
+    """Samples per engine: each one a chance to catch a quiet stretch."""
+    return 11 if quick else 15
+
+
+def _percall(fn, quick: bool) -> float:
+    """Best-of-samples per-call seconds (the minimum damps scheduler noise)."""
+    repeats = _repeats(fn, quick)
+    return min(_sample(fn, repeats) for _ in range(_rounds(quick)))
 
 
 def _available_backends() -> tuple:
@@ -113,13 +128,25 @@ def _available_backends() -> tuple:
 
 
 def _time_cell(run, workload: Workload, quick: bool) -> dict:
-    """Time every fixed engine plus ``auto`` on one workload cell."""
-    engines = {}
-    for engine in CONCRETE_ENGINES:
-        clear_caches()
-        engines[engine] = _percall(lambda: run(engine), quick)
+    """Time every fixed engine plus ``auto`` on one workload cell.
+
+    The samples are interleaved: every round times each engine and ``auto``
+    once, in an order rotated per round, and each keeps its minimum.  Noise
+    from the machine (another process, a frequency step) then lands on all
+    of them alike instead of on whichever one was timed during a noisy
+    stretch, so a sub-millisecond cell compares routing, not scheduling.
+    """
+    names = CONCRETE_ENGINES + ("auto",)
+    calls = {name: functools.partial(run, name) for name in names}
     clear_caches()
-    auto_s = _percall(lambda: run("auto"), quick)
+    repeats = {name: _repeats(calls[name], quick) for name in names}
+    best = dict.fromkeys(names, float("inf"))
+    for round_index in range(_rounds(quick)):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            best[name] = min(best[name], _sample(calls[name], repeats[name]))
+    auto_s = best.pop("auto")
+    engines = best
     best_fixed = min(engines, key=engines.get)
     worst_fixed = max(engines, key=engines.get)
     return {

@@ -176,7 +176,7 @@ def sweep(
         seed=seed,
         **kwargs,
     )
-    return _raise_on_error(default_service().sweep(request))
+    return _raise_on_error(default_service().handle(request))
 
 
 def formula(
@@ -193,7 +193,7 @@ def formula(
     request = FormulaRequest(
         formula=formula, family=family, sizes=tuple(sizes), **kwargs
     )
-    return _raise_on_error(default_service().formula(request))
+    return _raise_on_error(default_service().handle(request))
 
 
 def respond(request: Request) -> Response:

@@ -127,7 +127,7 @@ from repro.experiments import (
     write_baseline,
 )
 from repro.formulas import FormulaError, resolve_formula_params
-from repro.engines import VALID_ENGINES
+from repro.engines import PROTOCOL_ENGINES, VALID_ENGINES
 from repro.lower_bounds.catalog import LOWER_BOUND_CONSTRUCTIONS
 from repro.graphs.generators import (
     GRAPH_FAMILIES,
@@ -1007,7 +1007,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     lower_bound.add_argument(
         "--engine",
-        choices=("compiled", "delta", "vector", "auto"),
+        choices=PROTOCOL_ENGINES,
         default="auto",
         help="how the simulation probes sweep assignments: reload each full "
         "assignment (compiled), stream Gray-coded single-vertex deltas "

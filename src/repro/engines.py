@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.planner import Workload, choose_engine
+from repro.planner import PLANNER_PREFERENCE, Workload, choose_engine
 
 #: The concrete engines, in build order.
 CONCRETE_ENGINES = ("legacy", "compiled", "delta", "vector")
@@ -47,6 +47,11 @@ AUTO_ENGINE = "auto"
 
 #: Every engine name accepted at the API surface.
 VALID_ENGINES = CONCRETE_ENGINES + (AUTO_ENGINE,)
+
+#: The engines the Alice/Bob protocol simulation implements (every engine
+#: the planner can route to, plus ``"auto"``; not ``legacy``): the subset
+#: lower-bound specs, requests and the ``lower-bound --engine`` flag accept.
+PROTOCOL_ENGINES = PLANNER_PREFERENCE + (AUTO_ENGINE,)
 
 
 def validate_engine(

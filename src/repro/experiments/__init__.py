@@ -11,6 +11,10 @@ declarative *spec* and lands in the same JSON artifact shape:
   runner.run_sweep` measure a certificate-size series of one registered
   scheme over one graph family on the compile-once engine, fanning out
   across ``multiprocessing`` workers;
+* :class:`~repro.experiments.formula.FormulaSpec` +
+  :func:`~repro.experiments.formula.run_formula` measure the same series
+  for an ad-hoc MSO formula compiled on the fly instead of a registered
+  scheme;
 * :class:`~repro.experiments.lower_bound.LowerBoundSpec` +
   :func:`~repro.experiments.lower_bound.run_lower_bound` run a Section 7.1
   reduction-framework search (bound series, gadget dichotomy, Alice/Bob
@@ -21,6 +25,8 @@ declarative *spec* and lands in the same JSON artifact shape:
 * :class:`~repro.experiments.kernel.KernelSpec` +
   :func:`~repro.experiments.kernel.run_kernel` run a Section 6 kernel-size
   series (Proposition 6.2 saturation, optional EF-game equivalence);
+* :func:`run_experiment` runs a sweep, formula, lower-bound or radius spec
+  through the runner of its kind (the service's one experiment path);
 * :mod:`~repro.experiments.artifacts` serialises results (with both the
   closed-form :class:`BoundCheck` verdict and the fitted regression
   exponent of :mod:`~repro.experiments.bounds`) and merges sharded partial
@@ -44,6 +50,8 @@ Sharded execution (e.g. across two machines)::
     part1 = run_sweep(spec, shard=(1, 2))
     assert merge_artifacts([part0, part1]).series == result.series
 """
+
+from typing import Any, Callable, Optional
 
 from repro.experiments.artifacts import (
     BoundCheck,
@@ -96,6 +104,29 @@ from repro.experiments.spec import (
     raise_if_stopped,
 )
 
+
+def run_experiment(
+    spec: ExperimentSpec,
+    should_stop: Optional[Callable[[], Any]] = None,
+    on_point: Optional[Callable[[Any], None]] = None,
+) -> ExperimentResult:
+    """Run a sweep, formula, lower-bound or radius spec through its kind's runner.
+
+    ``should_stop``/``on_point`` are the runners' cooperative stop-check and
+    per-point progress callback.  The runners are looked up by their module
+    names on every call, never captured in a table at import time, so a
+    runner rebound on this module (a tracing wrapper, say) is the one that
+    runs.  Kernel specs take no stop-check and are not dispatched here.
+    """
+    runner = {
+        "sweep": run_sweep,
+        "formula": run_formula,
+        "lower-bound": run_lower_bound,
+        "radius": run_radius,
+    }[spec.kind]
+    return runner(spec, should_stop=should_stop, on_point=on_point)
+
+
 __all__ = [
     "BaselineReport",
     "BoundCheck",
@@ -129,6 +160,7 @@ __all__ = [
     "raise_if_stopped",
     "render_experiments_md",
     "result_from_payload",
+    "run_experiment",
     "run_formula",
     "run_formula_point",
     "run_kernel",

@@ -36,7 +36,7 @@ from repro.experiments.artifacts import (
     BoundCheck,
     ExperimentResult,
 )
-from repro.engines import resolve_engine, validate_engine
+from repro.engines import PROTOCOL_ENGINES, resolve_engine, validate_engine
 from repro.experiments.bounds import FittedBound, fit_series
 from repro.experiments.spec import ExperimentSpec, raise_if_stopped
 from repro.lower_bounds.catalog import (
@@ -97,7 +97,7 @@ class LowerBoundSpec(ExperimentSpec):
         try:
             validate_engine(
                 self.engine,
-                allowed=("compiled", "delta", "vector", "auto"),
+                allowed=PROTOCOL_ENGINES,
                 context="lower-bound specs",
             )
         except ValueError as exc:

@@ -13,8 +13,16 @@ be re-hydrated without knowing in advance what they hold:
 * :class:`~repro.experiments.lower_bound.LowerBoundSpec`
   (``kind="lower-bound"``) — a Section 7.1 reduction-framework search (the
   matching Ω(·) series);
+* :class:`~repro.experiments.formula.FormulaSpec` (``kind="formula"``) — a
+  certificate-size series of an ad-hoc MSO formula compiled on the fly
+  (the operational form of Theorem 2.6);
 * :class:`~repro.experiments.radius.RadiusSpec` (``kind="radius"``) — a
-  radius-r verification series (the Appendix A.1 radius ablation).
+  radius-r verification series (the Appendix A.1 radius ablation);
+* :class:`~repro.experiments.kernel.KernelSpec` (``kind="kernel"``) — a
+  Section 6 k-reduced kernel-size series.
+
+The service's wire ops reuse these kind strings: op ``X`` carries the
+fields of kind ``X`` (see :mod:`repro.service.messages`).
 
 Sharding: ``shard=(i, k)`` restricts execution to grid points
 ``i, i+k, i+2k, ...`` *without* changing their global indices or derived

@@ -26,7 +26,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Sequence
 import networkx as nx
 
 from repro.core.scheme import CertificationScheme
-from repro.engines import resolve_engine, validate_engine
+from repro.engines import PROTOCOL_ENGINES, resolve_engine, validate_engine
 from repro.planner import Workload
 from repro.network.adversary import exhaustive_deltas, initial_exhaustive_assignment
 from repro.network.compiled import CompiledNetwork
@@ -203,7 +203,7 @@ class ReductionFramework:
         """
         validate_engine(
             engine,
-            allowed=("compiled", "delta", "vector", "auto"),
+            allowed=PROTOCOL_ENGINES,
             context="simulate_protocol",
         )
         graph, middle, side_a, side_b = self._simulated_parts(s_a, s_b)

@@ -47,17 +47,7 @@ import networkx as nx
 from repro.caching import LRUCache, cache_stats, cache_stats_since
 from repro.core.cache import cached_evaluation_identifiers
 from repro.core.scheme import NotAYesInstance, evaluate_scheme
-from repro.experiments import (
-    ExperimentCancelled,
-    FormulaSpec,
-    LowerBoundSpec,
-    RadiusSpec,
-    SweepSpec,
-    run_formula,
-    run_lower_bound,
-    run_radius,
-    run_sweep,
-)
+from repro.experiments import ExperimentCancelled, ExperimentSpec, run_experiment
 from repro.formulas import (
     FormulaError,
     compile_formula,
@@ -68,6 +58,7 @@ from repro.graphs.generators import GraphSpecError, build_graph_spec
 from repro.lower_bounds.catalog import LOWER_BOUND_CONSTRUCTIONS
 from repro.registry import REGISTRY, RegistryError, SchemeInfo
 from repro.service.messages import (
+    ArtifactResponse,
     BatchRequest,
     BatchResponse,
     CancelRequest,
@@ -75,20 +66,14 @@ from repro.service.messages import (
     CertifyRequest,
     CertifyResponse,
     ErrorResponse,
-    FormulaRequest,
-    FormulaResponse,
+    ExperimentRequest,
     HealthRequest,
     HealthResponse,
-    LowerBoundRequest,
-    LowerBoundResponse,
-    RadiusRequest,
-    RadiusResponse,
     Request,
     Response,
     StatsRequest,
     StatsResponse,
-    SweepRequest,
-    SweepResponse,
+    response_from_dict,
 )
 from repro.engines import validate_engine
 
@@ -204,7 +189,7 @@ class CertificationService:
     ----------
     workers:
         Width of the bounded worker pool behind :meth:`submit` /
-        :meth:`submit_many` (synchronous :meth:`certify` / :meth:`sweep`
+        :meth:`submit_many` (synchronous :meth:`certify` / :meth:`handle`
         calls never touch the pool).
     scheme_cache_size:
         How many scheme instances to keep alive, keyed by
@@ -350,14 +335,8 @@ class CertificationService:
             injector.before_handle(request, scope)
         if isinstance(request, CertifyRequest):
             return self.certify(request)
-        if isinstance(request, SweepRequest):
-            return self.sweep(request, scope=scope)
-        if isinstance(request, FormulaRequest):
-            return self.formula(request, scope=scope)
-        if isinstance(request, LowerBoundRequest):
-            return self.lower_bound(request, scope=scope)
-        if isinstance(request, RadiusRequest):
-            return self.radius(request, scope=scope)
+        if isinstance(request, ExperimentRequest):
+            return self._experiment(request, scope)
         if isinstance(request, StatsRequest):
             self._count("stats")
             return StatsResponse(result=self.stats())
@@ -641,9 +620,9 @@ class CertificationService:
             return fail("invalid-param", str(error))
         # Integer seeds are part of the contract: they are what makes the
         # request deterministic and its caches reusable across callers.
-        for name, value in (("seed", request.seed), ("trials", request.trials)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                return fail("invalid-request", f"{name} must be an integer, got {value!r}")
+        malformed = request.malformed_field()
+        if malformed is not None:
+            return fail("invalid-request", malformed)
         if request.trials < 0:
             return fail("invalid-param", "trials must be non-negative")
         if graph is None:
@@ -697,150 +676,63 @@ class CertificationService:
             certificates=certificates,
         )
 
-    def sweep(
-        self, request: SweepRequest, scope: Optional[CancelScope] = None
-    ) -> Union[SweepResponse, "FormulaResponse", ErrorResponse]:
-        """Run a whole declarative sweep (or one shard of it) as one request.
+    def _experiment(
+        self, request: ExperimentRequest, scope: Optional[CancelScope]
+    ) -> Response:
+        """Run one experiment op: wire op ``X`` is spec kind ``X``.
 
-        A request carrying ``formula`` instead of ``scheme`` runs through
-        :class:`~repro.experiments.FormulaSpec` (``params`` holds the
-        compilation knobs) and answers with a :class:`FormulaResponse` —
-        the artifact payload then has kind ``"formula"``.
+        The request's fields, minus the ``deadline_s``/``request_id``/
+        ``attempt`` envelope, become the :class:`ExperimentSpec` of the same
+        kind; the answer is the run's artifact payload.  A sweep carrying
+        ``formula`` instead of ``scheme`` runs — and counts, and reports its
+        later failures — as a ``formula`` series, with ``params`` holding the
+        compilation knobs.
         """
+        kind = request.op
 
-        def fail(code: str, message: str) -> ErrorResponse:
+        def fail(
+            code: str, message: str, partial: Optional[Dict[str, Any]] = None
+        ) -> ErrorResponse:
+            # ``kind`` is read at call time: failures after the formula
+            # redirect below report ``request_op="formula"``.
             self._count("errors")
-            return ErrorResponse(code=code, message=message, request_op=request.op)
+            return ErrorResponse(code=code, message=message, request_op=kind, partial=partial)
 
-        if request.formula is not None:
-            if request.measure != "full":
+        malformed = request.malformed_field()
+        if malformed is not None:
+            return fail("invalid-request", malformed)
+        fields = request.to_dict()
+        for envelope in ("op", "deadline_s", "request_id", "attempt"):
+            del fields[envelope]
+        formula = fields.pop("formula", None) if kind == "sweep" else None
+        if formula is not None:
+            if fields.pop("measure") != "full":
                 return fail("invalid-param", "formula sweeps only support measure='full'")
-            if request.id_exponent is not None:
+            if fields.pop("id_exponent") is not None:
                 return fail("invalid-param", "formula sweeps do not support id_exponent")
             try:
-                knobs = resolve_formula_params(request.params)
+                knobs = resolve_formula_params(fields.pop("params"))
             except FormulaError as error:
                 return fail("invalid-formula", str(error))
-            return self.formula(
-                FormulaRequest(
-                    formula=request.formula,
-                    family=request.family,
-                    sizes=request.sizes,
-                    t=knobs["t"],
-                    k=knobs["k"],
-                    route=knobs["route"],
-                    model=knobs["model"],
-                    trials=request.trials,
-                    seed=request.seed,
-                    engine=request.engine,
-                    check_bound=request.check_bound,
-                    shard=request.shard,
-                    name=request.name,
-                ),
-                scope=scope,
-            )
+            del fields["scheme"]
+            fields.update(knobs, formula=formula)
+            kind = "formula"
         try:
-            spec = SweepSpec(
-                scheme=request.scheme,
-                family=request.family,
-                sizes=request.sizes,
-                params=request.params,
-                trials=request.trials,
-                seed=request.seed,
-                engine=request.engine,
-                check_bound=request.check_bound,
-                measure=request.measure,
-                id_exponent=request.id_exponent,
-                shard=request.shard,
-                name=request.name,
-            ).validate()
-        except RegistryError as error:
-            code = "unknown-scheme" if request.scheme not in REGISTRY else "invalid-param"
-            return fail(code, str(error))
-        try:
-            result = self.run_sweep_spec(spec, scope=scope)
-        except ExperimentCancelled as error:
-            self._count("errors")
-            return ErrorResponse(
-                code=error.reason,
-                message=f"sweep stopped: {error.reason}",
-                request_op=request.op,
-                partial=_partial_payload(scope),
-            )
-        except GraphSpecError as error:
-            return fail("invalid-graph", str(error))
-        except NotAYesInstance as error:
-            return fail("not-a-yes-instance", str(error))
-        except ValueError as error:
-            return fail("undecidable", str(error))
-        except Exception as error:  # noqa: BLE001
-            return fail("internal-error", f"{type(error).__name__}: {error}")
-        return SweepResponse(result=result.to_dict())
-
-    def run_sweep_spec(self, spec: SweepSpec, scope: Optional[CancelScope] = None):
-        """Execute a validated :class:`SweepSpec` inside this service.
-
-        The in-process path :mod:`benchmarks/_harness` and the wire ``sweep``
-        op share; it exists so every sweep a benchmark runs counts in
-        :meth:`stats` and reuses this service's warm caches.
-        """
-        result = run_sweep(
-            spec,
-            should_stop=scope.check if scope is not None else None,
-            on_point=self._point_sink("sweep", scope),
-        )
-        self._count("sweep")
-        self._count_routing(point.engine_resolved for point in result.points)
-        return result
-
-    def formula(
-        self, request: FormulaRequest, scope: Optional[CancelScope] = None
-    ) -> Union[FormulaResponse, ErrorResponse]:
-        """Run a certificate-size series for an ad-hoc MSO formula.
-
-        The formula is compiled once (fingerprint-keyed cache, shared with
-        ``certify --formula``) and evaluated over the grid like a catalogue
-        sweep; parse/compile failures answer with ``invalid-formula``.
-        """
-
-        def fail(code: str, message: str) -> ErrorResponse:
-            self._count("errors")
-            return ErrorResponse(code=code, message=message, request_op=request.op)
-
-        try:
-            spec = FormulaSpec(
-                formula=request.formula,
-                family=request.family,
-                sizes=request.sizes,
-                t=request.t,
-                k=request.k,
-                route=request.route,
-                model=request.model,
-                trials=request.trials,
-                seed=request.seed,
-                engine=request.engine,
-                check_bound=request.check_bound,
-                shard=request.shard,
-                name=request.name,
-            ).validate()
+            spec = ExperimentSpec.from_dict({**fields, "kind": kind}).validate()
         except FormulaError as error:
             return fail("invalid-formula", str(error))
         except RegistryError as error:
-            return fail("invalid-param", str(error))
+            code = "unknown-scheme" if _uncatalogued(request) else "invalid-param"
+            return fail(code, str(error))
         try:
-            result = run_formula(
+            result = run_experiment(
                 spec,
                 should_stop=scope.check if scope is not None else None,
-                on_point=self._point_sink("formula", scope),
+                on_point=self._point_sink(kind, scope),
             )
         except ExperimentCancelled as error:
-            self._count("errors")
-            return ErrorResponse(
-                code=error.reason,
-                message=f"formula series stopped: {error.reason}",
-                request_op=request.op,
-                partial=_partial_payload(scope),
-            )
+            reason = error.reason
+            return fail(reason, f"{kind} stopped: {reason}", _partial_payload(scope))
         except GraphSpecError as error:
             return fail("invalid-graph", str(error))
         except NotAYesInstance as error:
@@ -849,107 +741,12 @@ class CertificationService:
             return fail("invalid-formula", str(error))
         except ValueError as error:
             return fail("undecidable", str(error))
-        except Exception as error:  # noqa: BLE001
+        except Exception as error:  # noqa: BLE001 - the service must not crash
             return fail("internal-error", f"{type(error).__name__}: {error}")
-        self._count("formula")
-        self._count_routing(point.engine_resolved for point in result.points)
-        return FormulaResponse(result=result.to_dict())
-
-    def lower_bound(
-        self, request: LowerBoundRequest, scope: Optional[CancelScope] = None
-    ) -> Union[LowerBoundResponse, ErrorResponse]:
-        """Run a Section-7 lower-bound search (or one shard of it)."""
-
-        def fail(code: str, message: str) -> ErrorResponse:
-            self._count("errors")
-            return ErrorResponse(code=code, message=message, request_op=request.op)
-
-        try:
-            spec = LowerBoundSpec(
-                construction=request.construction,
-                sizes=request.sizes,
-                check_dichotomy=request.check_dichotomy,
-                simulate=request.simulate,
-                simulate_bits=request.simulate_bits,
-                max_side_bits=request.max_side_bits,
-                engine=request.engine,
-                check_bound=request.check_bound,
-                seed=request.seed,
-                shard=request.shard,
-                name=request.name,
-            ).validate()
-        except RegistryError as error:
-            code = (
-                "unknown-scheme"
-                if request.construction not in LOWER_BOUND_CONSTRUCTIONS
-                else "invalid-param"
-            )
-            return fail(code, str(error))
-        try:
-            result = run_lower_bound(
-                spec,
-                should_stop=scope.check if scope is not None else None,
-                on_point=self._point_sink("lower-bound", scope),
-            )
-        except ExperimentCancelled as error:
-            self._count("errors")
-            return ErrorResponse(
-                code=error.reason,
-                message=f"lower-bound search stopped: {error.reason}",
-                request_op=request.op,
-                partial=_partial_payload(scope),
-            )
-        except ValueError as error:
-            return fail("undecidable", str(error))
-        except Exception as error:  # noqa: BLE001
-            return fail("internal-error", f"{type(error).__name__}: {error}")
-        self._count("lower_bound")
-        self._count_routing(point.engine_resolved for point in result.points)
-        return LowerBoundResponse(result=result.to_dict())
-
-    def radius(
-        self, request: RadiusRequest, scope: Optional[CancelScope] = None
-    ) -> Union[RadiusResponse, ErrorResponse]:
-        """Run an Appendix-A.1 radius-verification series as one request."""
-
-        def fail(code: str, message: str) -> ErrorResponse:
-            self._count("errors")
-            return ErrorResponse(code=code, message=message, request_op=request.op)
-
-        try:
-            spec = RadiusSpec(
-                family=request.family,
-                sizes=request.sizes,
-                bound=request.bound,
-                radius=request.radius,
-                seed=request.seed,
-                shard=request.shard,
-                name=request.name,
-            ).validate()
-        except RegistryError as error:
-            return fail("invalid-param", str(error))
-        try:
-            result = run_radius(
-                spec,
-                should_stop=scope.check if scope is not None else None,
-                on_point=self._point_sink("radius", scope),
-            )
-        except ExperimentCancelled as error:
-            self._count("errors")
-            return ErrorResponse(
-                code=error.reason,
-                message=f"radius series stopped: {error.reason}",
-                request_op=request.op,
-                partial=_partial_payload(scope),
-            )
-        except GraphSpecError as error:
-            return fail("invalid-graph", str(error))
-        except ValueError as error:
-            return fail("undecidable", str(error))
-        except Exception as error:  # noqa: BLE001
-            return fail("internal-error", f"{type(error).__name__}: {error}")
-        self._count("radius")
-        return RadiusResponse(result=result.to_dict())
+        self._count(kind.replace("-", "_"))
+        # Radius points carry no engine: that kind counts no routing.
+        self._count_routing(getattr(point, "engine_resolved", None) for point in result.points)
+        return response_from_dict({"op": kind, "result": result.to_dict()})
 
     # -- batched submission --------------------------------------------------
 
@@ -1077,11 +874,18 @@ def _response_ok(response: Response) -> bool:
         return False
     if isinstance(response, CertifyResponse):
         return response.verdict_ok and response.sound is not False
-    if isinstance(
-        response, (SweepResponse, FormulaResponse, LowerBoundResponse, RadiusResponse)
-    ):
+    if isinstance(response, ArtifactResponse):
         return response.clean
     return True
+
+
+def _uncatalogued(request: ExperimentRequest) -> bool:
+    """Does the request name a scheme or construction that is not catalogued?"""
+    for name, catalogue in (("scheme", REGISTRY), ("construction", LOWER_BOUND_CONSTRUCTIONS)):
+        key = getattr(request, name, None)
+        if key is not None and key not in catalogue:
+            return True
+    return False
 
 
 def _partial_payload(scope: Optional[CancelScope]) -> Optional[Dict[str, Any]]:

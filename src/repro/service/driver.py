@@ -89,28 +89,20 @@ from repro.experiments.artifacts import (
     merge_artifacts,
     result_from_payload,
 )
-from repro.experiments.formula import FormulaSpec
-from repro.experiments.lower_bound import LowerBoundSpec
-from repro.experiments.radius import RadiusSpec
-from repro.experiments.spec import ExperimentSpec, SweepSpec
+from repro.experiments.spec import ExperimentSpec
 from repro.service.client import (
     ServiceClient,
     ServiceConnectTimeout,
     ServiceTransportError,
 )
 from repro.service.messages import (
+    EXPERIMENT_OPS,
+    ArtifactResponse,
     ErrorResponse,
-    FormulaRequest,
-    FormulaResponse,
     HealthResponse,
-    LowerBoundRequest,
-    LowerBoundResponse,
-    RadiusRequest,
-    RadiusResponse,
     Request,
     Response,
-    SweepRequest,
-    SweepResponse,
+    request_from_dict,
 )
 
 #: Error codes worth retrying on another worker (or the same one later).
@@ -758,37 +750,30 @@ class ShardDriver:
         count: int,
         attempt: Optional[int] = None,
     ) -> Request:
-        """The wire request for shard ``(index, count)`` of ``spec``."""
-        payload = spec.to_dict()
-        kind = payload.pop("kind", None)
-        payload["shard"] = (index, count)
-        payload["deadline_s"] = self.deadline_s
-        payload["attempt"] = attempt
+        """The wire request for shard ``(index, count)`` of ``spec``.
+
+        Wire op and spec kind coincide, so the request is the spec's own
+        fields plus the envelope — minus ``processes``, which the wire side
+        lacks (each worker parallelises itself; merges normalise it away).
+        """
+        if spec.kind not in EXPERIMENT_OPS:
+            raise DriverError(f"cannot drive experiment kind {spec.kind!r}")
+        fields = spec.to_dict()
+        del fields["kind"]
+        fields.pop("processes", None)
         suffix = f"-a{attempt}" if attempt is not None else ""
-        payload["request_id"] = (
-            f"drive-{uuid.uuid4().hex[:8]}-shard{index}of{count}{suffix}"
-        )
-        if isinstance(spec, SweepSpec):
-            # The wire side has no ``processes`` (each worker parallelises
-            # itself); it is merge-normalised away anyway.
-            payload.pop("processes", None)
-            return SweepRequest(**payload)
-        if isinstance(spec, FormulaSpec):
-            return FormulaRequest(**payload)
-        if isinstance(spec, LowerBoundSpec):
-            return LowerBoundRequest(**payload)
-        if isinstance(spec, RadiusSpec):
-            return RadiusRequest(**payload)
-        raise DriverError(f"cannot drive experiment kind {kind!r}")
+        return request_from_dict({
+            **fields,
+            "op": spec.kind,
+            "shard": (index, count),
+            "deadline_s": self.deadline_s,
+            "attempt": attempt,
+            "request_id": f"drive-{uuid.uuid4().hex[:8]}-shard{index}of{count}{suffix}",
+        })
 
     @staticmethod
     def _payload_of(response: Response) -> Optional[Dict[str, Any]]:
-        if isinstance(
-            response,
-            (SweepResponse, FormulaResponse, LowerBoundResponse, RadiusResponse),
-        ):
-            return response.result
-        return None
+        return response.result if isinstance(response, ArtifactResponse) else None
 
     def _salvage(
         self,

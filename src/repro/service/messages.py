@@ -3,9 +3,18 @@
 Every interaction with :class:`~repro.service.core.CertificationService` —
 in-process through :mod:`repro.api`, or over the JSON-lines wire protocol of
 :mod:`repro.service.protocol` — is one of the dataclasses here.  They are
-plain data: JSON round-trippable (``to_dict``/``from_dict``), with no
-references to schemes, graphs or caches, so the same message works across a
-process or socket boundary.
+plain data: JSON round-trippable (``to_dict``/``from_dict``, inherited from
+one shared codec), with no references to schemes, graphs or caches, so the
+same message works across a process or socket boundary.
+
+The experiment ops follow one rule: wire op ``X`` *is*
+:class:`~repro.experiments.ExperimentSpec` kind ``X`` (``sweep``,
+``formula``, ``lower-bound``, ``radius``), and its request carries the
+spec's fields one for one plus the ``deadline_s``/``request_id``/``attempt``
+envelope every work-carrying request shares.  The service builds the spec
+with ``ExperimentSpec.from_dict`` and answers with the artifact payload
+:func:`repro.experiments.write_artifact` would have written; the shard
+driver builds requests from specs the same way in reverse.
 
 Failures are data too.  Instead of letting ``NotAYesInstance``, registry
 ``RegistryError`` s, ``GraphSpecError`` s or the exact-decision
@@ -19,9 +28,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engines import VALID_ENGINES, validate_engine
+from repro.engines import PROTOCOL_ENGINES, VALID_ENGINES, validate_engine
 
 #: Machine-readable error codes an :class:`ErrorResponse` may carry.
 ERROR_CODES: Tuple[str, ...] = (
@@ -45,18 +54,6 @@ ERROR_CODES: Tuple[str, ...] = (
 
 class ProtocolError(ValueError):
     """A wire message that does not decode into a known request."""
-
-
-def _dataclass_dict(message: Any) -> Dict[str, Any]:
-    data: Dict[str, Any] = {"op": message.op}
-    for spec in fields(message):
-        value = getattr(message, spec.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, Mapping):
-            value = dict(value)
-        data[spec.name] = value
-    return data
 
 
 def _validate_fault_tolerance_fields(message: Any) -> None:
@@ -131,23 +128,28 @@ def _normalize_shard(shard: Any) -> Optional[Tuple[int, int]]:
         raise ValueError(f"shard must be an (i, k) pair, got {shard!r}") from None
 
 
-def _from_dict(cls, data: Mapping[str, Any], *, kind: str):
-    payload = dict(data)
-    op = payload.pop("op", cls.op)
-    if op != cls.op:
-        raise ProtocolError(f"expected a {cls.op!r} {kind}, got op {op!r}")
-    known = {spec.name for spec in fields(cls)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ProtocolError(f"unknown {cls.op!r} field(s) {unknown}")
+def _normalize_sizes(sizes: Any) -> Any:
+    """A ``sizes`` grid as a tuple, its members kept exactly as sent.
+
+    Members that do not read as integers at all (``["a"]``, ``[null]``) fail
+    decoding.  A string or non-iterable grid, and float, bool or numeric-string
+    members, pass through unchanged: :meth:`BaseRequest.malformed_field`
+    reports them and the service answers ``invalid-request`` for the op —
+    never a silently coerced grid.
+    """
+    if isinstance(sizes, str):
+        return sizes
     try:
-        # TypeError: missing/duplicate fields; ValueError/TypeError from
-        # __post_init__: field values that do not coerce (sizes=["a"],
-        # params="abc").  All are the sender's fault, so all are protocol
-        # errors — never tracebacks.
-        return cls(**payload)
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"bad {cls.op!r} {kind}: {error}") from None
+        members = tuple(sizes)
+    except TypeError:
+        return sizes
+    for member in members:
+        int(member)
+    return members
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +157,85 @@ def _from_dict(cls, data: Mapping[str, Any], *, kind: str):
 # ---------------------------------------------------------------------------
 
 
+class BaseRequest:
+    """The codec every request shares: a dataclass ``to_dict``/``from_dict``
+    keyed by the class-level ``op`` discriminator."""
+
+    op: ClassVar[str] = ""
+
+    def to_dict(self) -> Dict[str, Any]:
+        data: Dict[str, Any] = {"op": self.op}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, Mapping):
+                value = dict(value)
+            data[spec.name] = value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        payload = dict(data)
+        op = payload.pop("op", cls.op)
+        if op != cls.op:
+            raise ProtocolError(f"expected a {cls.op!r} request, got op {op!r}")
+        known = {spec.name for spec in fields(cls)}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise ProtocolError(f"unknown {cls.op!r} field(s) {unknown}")
+        try:
+            # TypeError: missing/duplicate fields; ValueError/TypeError from
+            # __post_init__: field values that do not coerce (sizes=["a"],
+            # params="abc").  All are the sender's fault, so all are protocol
+            # errors — never tracebacks.
+            return cls(**payload)
+        except (TypeError, ValueError) as error:
+            raise ProtocolError(f"bad {cls.op!r} request: {error}") from None
+
+    def malformed_field(self) -> Optional[str]:
+        """Why an integer field has the wrong type, or None when all are fine.
+
+        Integer fields (annotated ``int`` / ``Optional[int]``) must hold a
+        real ``int`` — not a bool, float or numeric string — and ``sizes``
+        must be a sequence of them.  The service answers a non-None result
+        with ``invalid-request`` before anything runs.
+        """
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name == "sizes":
+                if not (isinstance(value, tuple) and all(map(_is_int, value))):
+                    return f"sizes must be a list of integers, got {value!r}"
+            elif spec.type in ("int", "Optional[int]") and not (
+                _is_int(value) or (value is None and spec.type != "int")
+            ):
+                return f"{spec.name} must be an integer, got {value!r}"
+        return None
+
+
 @dataclass(frozen=True)
-class CertifyRequest:
+class WorkRequest(BaseRequest):
+    """A request that runs work: it carries the fault-tolerance envelope.
+
+    ``deadline_s`` bounds the whole request: past the deadline the service
+    answers a structured ``timeout`` error instead of blocking the
+    connection.  ``request_id`` makes the request idempotently resubmittable
+    — the service remembers the response per id, so a retry after a broken
+    transport replays the answer instead of recomputing it (and the id is
+    the handle a ``cancel`` op targets).  ``attempt`` is the shard driver's
+    fencing counter.  The three are keyword-only.
+    """
+
+    deadline_s: Optional[float] = field(default=None, kw_only=True)
+    request_id: Optional[str] = field(default=None, kw_only=True)
+    attempt: Optional[int] = field(default=None, kw_only=True)
+
+    def __post_init__(self) -> None:
+        _validate_fault_tolerance_fields(self)
+
+
+@dataclass(frozen=True)
+class CertifyRequest(WorkRequest):
     """One certification question: run ``scheme`` on ``graph``, full harness.
 
     ``graph`` is a ``family:size`` / ``file:PATH`` specifier (the shared
@@ -165,13 +244,6 @@ class CertifyRequest:
     request, in which case ``graph`` is just the label reported back.
     ``include_certificates`` asks for the raw per-vertex certificates of a
     yes-instance in the response.
-
-    ``deadline_s`` bounds the whole request: past the deadline the service
-    answers a structured ``timeout`` error instead of blocking the
-    connection.  ``request_id`` makes the request idempotently resubmittable
-    — the service remembers the response per id, so a retry after a broken
-    transport replays the answer instead of recomputing it (and the id is
-    the handle a ``cancel`` op targets).
 
     ``formula`` (mutually exclusive with ``scheme``) asks for an *ephemeral*
     scheme compiled from MSO concrete syntax instead of a catalogue lookup;
@@ -190,41 +262,45 @@ class CertifyRequest:
     trials: int = 20
     engine: str = "auto"
     include_certificates: bool = False
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-    attempt: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
         _validate_scheme_or_formula(self)
         _validate_engine_field(self)
-        _validate_fault_tolerance_fields(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CertifyRequest":
-        return _from_dict(cls, data, kind="request")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class SweepRequest:
-    """A whole certificate-size series as one request.
+class ExperimentRequest(WorkRequest):
+    """An experiment op: the fields of the same-kind spec, plus the envelope.
 
-    Mirrors :class:`repro.experiments.SweepSpec` field-for-field (the service
-    builds the spec and runs it through the one declarative pipeline); the
-    response carries the artifact payload, bound verdict included.
+    Every experiment request shares the spec backbone's ``sizes`` grid and
+    ``shard=(i, k)`` restriction (grid points with global index ≡ i mod k —
+    the wire form of ``--shard i/k``, which is what lets the shard driver
+    fan one experiment out over a fleet of serve processes and merge the
+    partial payloads back into the exact unsharded artifact).
+    """
 
-    ``shard=(i, k)`` runs only the grid points with global index ≡ i (mod k)
-    — the wire form of ``sweep --shard i/k``, which is what lets the shard
-    driver fan one experiment out over a fleet of serve processes and merge
-    the partial payloads back into the exact unsharded artifact.
+    #: Engines the kind implements; empty when it has no ``engine`` field.
+    engines: ClassVar[Tuple[str, ...]] = VALID_ENGINES
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sizes", _normalize_sizes(self.sizes))
+        object.__setattr__(self, "shard", _normalize_shard(self.shard))
+        if self.engines:
+            _validate_engine_field(self, allowed=self.engines)
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class SweepRequest(ExperimentRequest):
+    """A certificate-size series of a registered scheme (kind ``sweep``).
 
     ``formula`` (mutually exclusive with ``scheme``) sweeps an *ephemeral*
-    scheme compiled from MSO concrete syntax; ``params`` then carries the
-    compilation knobs (``t``, ``k``, ``route``, ``model``) and the run goes
-    through :class:`repro.experiments.FormulaSpec` instead of ``SweepSpec``.
+    scheme compiled from MSO concrete syntax instead: ``params`` then carries
+    the compilation knobs (``t``, ``k``, ``route``, ``model``) and the run
+    goes through :class:`repro.experiments.FormulaSpec`, answering — and
+    counting — as a ``formula`` series.
     """
 
     op = "sweep"
@@ -242,36 +318,20 @@ class SweepRequest:
     id_exponent: Optional[int] = None
     shard: Optional[Tuple[int, int]] = None
     name: Optional[str] = None
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-    attempt: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "shard", _normalize_shard(self.shard))
         _validate_scheme_or_formula(self)
-        _validate_engine_field(self)
-        _validate_fault_tolerance_fields(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepRequest":
-        return _from_dict(cls, data, kind="request")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class FormulaRequest:
-    """A certificate-size series for an ad-hoc MSO formula as one request.
+class FormulaRequest(ExperimentRequest):
+    """A certificate-size series for an ad-hoc MSO formula (kind ``formula``).
 
-    Mirrors :class:`repro.experiments.FormulaSpec` field-for-field, the same
-    way :class:`SweepRequest` mirrors ``SweepSpec`` — including the
-    ``shard`` restriction, so formula series fan out over the shard driver
-    exactly like catalogue sweeps.  The formula is compiled once per serve
-    process (fingerprint-keyed cache) and evaluated at every grid point;
-    parse/compile failures answer with the ``invalid-formula`` code.
+    The formula is compiled once per serve process (fingerprint-keyed cache)
+    and evaluated at every grid point; parse/compile failures answer with
+    the ``invalid-formula`` code.
     """
 
     op = "formula"
@@ -289,51 +349,19 @@ class FormulaRequest:
     check_bound: bool = True
     shard: Optional[Tuple[int, int]] = None
     name: Optional[str] = None
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-    attempt: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.formula, str) or not self.formula.strip():
             raise ValueError("formula must be a non-empty string")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", _normalize_shard(self.shard))
-        _validate_engine_field(self)
-        _validate_fault_tolerance_fields(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FormulaRequest":
-        return _from_dict(cls, data, kind="request")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class StatsRequest:
-    """Ask the service for its request counters and cache statistics."""
-
-    op = "stats"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StatsRequest":
-        return _from_dict(cls, data, kind="request")
-
-
-@dataclass(frozen=True)
-class LowerBoundRequest:
-    """A whole Section-7 lower-bound search as one request.
-
-    Mirrors :class:`repro.experiments.LowerBoundSpec` field-for-field, the
-    same way :class:`SweepRequest` mirrors ``SweepSpec`` — including the
-    ``shard`` restriction, so lower-bound searches fan out over the shard
-    driver exactly like sweeps do.
-    """
+class LowerBoundRequest(ExperimentRequest):
+    """A Section-7 lower-bound search (kind ``lower-bound``)."""
 
     op = "lower-bound"
+    engines = PROTOCOL_ENGINES
 
     construction: str
     sizes: Tuple[int, ...]
@@ -346,37 +374,18 @@ class LowerBoundRequest:
     seed: int = 0
     shard: Optional[Tuple[int, int]] = None
     name: Optional[str] = None
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-    attempt: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", _normalize_shard(self.shard))
-        _validate_engine_field(self, allowed=("compiled", "delta", "vector", "auto"))
-        _validate_fault_tolerance_fields(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LowerBoundRequest":
-        return _from_dict(cls, data, kind="request")
 
 
 @dataclass(frozen=True)
-class RadiusRequest:
-    """A whole Appendix A.1 radius-verification series as one request.
+class RadiusRequest(ExperimentRequest):
+    """An Appendix A.1 radius-verification series (kind ``radius``).
 
-    Mirrors :class:`repro.experiments.RadiusSpec` field-for-field, the same
-    way :class:`SweepRequest` mirrors ``SweepSpec`` — including the
-    ``shard`` restriction, so radius series ride ``shard-drive`` like every
-    other experiment kind.  (No ``engine`` field: the radius simulator is
-    its own engine — it explores radius-``r`` balls, not certificate
-    assignments.)
+    No ``engine`` field: the radius simulator is its own engine — it
+    explores radius-``r`` balls, not certificate assignments.
     """
 
     op = "radius"
+    engines = ()
 
     family: str
     sizes: Tuple[int, ...]
@@ -385,25 +394,17 @@ class RadiusRequest:
     seed: int = 0
     shard: Optional[Tuple[int, int]] = None
     name: Optional[str] = None
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-    attempt: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "shard", _normalize_shard(self.shard))
-        _validate_fault_tolerance_fields(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RadiusRequest":
-        return _from_dict(cls, data, kind="request")
 
 
 @dataclass(frozen=True)
-class HealthRequest:
+class StatsRequest(BaseRequest):
+    """Ask the service for its request counters and cache statistics."""
+
+    op = "stats"
+
+
+@dataclass(frozen=True)
+class HealthRequest(BaseRequest):
     """Ask a serve process whether it is alive, and how loaded it is.
 
     The answer (worker liveness, queue depth, in-flight gauge, uptime) is
@@ -413,16 +414,9 @@ class HealthRequest:
 
     op = "health"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HealthRequest":
-        return _from_dict(cls, data, kind="request")
-
 
 @dataclass(frozen=True)
-class CancelRequest:
+class CancelRequest(BaseRequest):
     """Cooperatively cancel the request known under ``request_id``.
 
     Queued work is cancelled outright (its submitter gets a ``cancelled``
@@ -442,13 +436,6 @@ class CancelRequest:
                 f"request_id must be a non-empty string, got {self.request_id!r}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _dataclass_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CancelRequest":
-        return _from_dict(cls, data, kind="request")
-
 
 _REQUEST_TYPES: Dict[str, type] = {
     cls.op: cls
@@ -464,6 +451,11 @@ _REQUEST_TYPES: Dict[str, type] = {
     )
 }
 
+#: The experiment ops — each one also an ``ExperimentSpec`` kind.
+EXPERIMENT_OPS: Tuple[str, ...] = tuple(
+    op for op, cls in _REQUEST_TYPES.items() if issubclass(cls, ExperimentRequest)
+)
+
 
 def request_from_dict(data: Mapping[str, Any]) -> "Request":
     """Re-hydrate any request by its ``op`` discriminator."""
@@ -478,7 +470,7 @@ def request_from_dict(data: Mapping[str, Any]) -> "Request":
 
 
 @dataclass(frozen=True)
-class BatchRequest:
+class BatchRequest(BaseRequest):
     """Many requests as one wire message, answered through the worker pool.
 
     The batch rides :meth:`~repro.service.core.CertificationService.
@@ -650,170 +642,86 @@ class CertifyResponse:
 
 
 @dataclass(frozen=True)
-class SweepResponse:
-    """The artifact payload of one :class:`SweepRequest`.
+class ResultResponse:
+    """A success answer whose whole payload is one ``result`` dict."""
+
+    op: ClassVar[str] = ""
+    ok: ClassVar[bool] = True
+
+    result: Dict[str, Any]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"op": self.op, "ok": True, "result": dict(self.result)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        return cls(result=dict(data.get("result") or {}))
+
+
+class ArtifactResponse(ResultResponse):
+    """The answer to an experiment op: its artifact payload.
 
     ``result`` is exactly what :func:`repro.experiments.write_artifact`
     would have written (spec, points, series, bound verdict, fitted
-    exponent), so wire consumers read the same schema as artifact files.
+    exponent), so wire consumers — and the shard driver's merge — read the
+    same schema as artifact files.
     """
+
+    #: The payload flags that must all be true for a clean run.
+    verdicts: ClassVar[Tuple[str, ...]] = ("all_ok",)
+
+    @property
+    def clean(self) -> bool:
+        ok = all(bool(self.result.get(flag)) for flag in self.verdicts)
+        bound = self.result.get("bound")
+        if bound is not None:
+            ok = ok and bool(bound.get("ok"))
+        return ok
+
+    @property
+    def series(self) -> Dict[int, int]:
+        return {int(n): bits for n, bits in (self.result.get("series") or {}).items()}
+
+
+class SweepResponse(ArtifactResponse):
+    """The artifact payload of one :class:`SweepRequest`."""
 
     op = "sweep"
-    ok = True
-
-    result: Dict[str, Any]
-
-    @property
-    def clean(self) -> bool:
-        ok = bool(self.result.get("all_accepted")) and bool(self.result.get("all_sound"))
-        bound = self.result.get("bound")
-        if bound is not None:
-            ok = ok and bool(bound.get("ok"))
-        return ok
-
-    @property
-    def series(self) -> Dict[int, int]:
-        return {int(n): bits for n, bits in (self.result.get("series") or {}).items()}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepResponse":
-        return cls(result=dict(data.get("result") or {}))
+    verdicts = ("all_accepted", "all_sound")
 
 
-@dataclass(frozen=True)
-class FormulaResponse:
-    """The artifact payload of one :class:`FormulaRequest`.
-
-    ``result`` is exactly what :func:`repro.experiments.write_artifact`
-    would have written for the series (kind ``"formula"``), so wire
-    consumers (and the shard driver's merge) read the same schema as
-    artifact files.
-    """
+class FormulaResponse(ArtifactResponse):
+    """The artifact payload of one formula series (kind ``formula``)."""
 
     op = "formula"
-    ok = True
-
-    result: Dict[str, Any]
-
-    @property
-    def clean(self) -> bool:
-        ok = bool(self.result.get("all_accepted")) and bool(self.result.get("all_sound"))
-        bound = self.result.get("bound")
-        if bound is not None:
-            ok = ok and bool(bound.get("ok"))
-        return ok
-
-    @property
-    def series(self) -> Dict[int, int]:
-        return {int(n): bits for n, bits in (self.result.get("series") or {}).items()}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FormulaResponse":
-        return cls(result=dict(data.get("result") or {}))
+    verdicts = ("all_accepted", "all_sound")
 
 
-@dataclass(frozen=True)
-class LowerBoundResponse:
-    """The artifact payload of one :class:`LowerBoundRequest`.
-
-    ``result`` is exactly what :func:`repro.experiments.write_artifact`
-    would have written for the search, so wire consumers (and the shard
-    driver's merge) read the same schema as artifact files.
-    """
+class LowerBoundResponse(ArtifactResponse):
+    """The artifact payload of one :class:`LowerBoundRequest`."""
 
     op = "lower-bound"
-    ok = True
-
-    result: Dict[str, Any]
-
-    @property
-    def clean(self) -> bool:
-        ok = bool(self.result.get("all_ok"))
-        bound = self.result.get("bound")
-        if bound is not None:
-            ok = ok and bool(bound.get("ok"))
-        return ok
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LowerBoundResponse":
-        return cls(result=dict(data.get("result") or {}))
 
 
-@dataclass(frozen=True)
-class RadiusResponse:
-    """The artifact payload of one :class:`RadiusRequest`.
-
-    ``result`` is exactly what :func:`repro.experiments.write_artifact`
-    would have written for the series, so wire consumers (and the shard
-    driver's merge) read the same schema as artifact files.
-    """
+class RadiusResponse(ArtifactResponse):
+    """The artifact payload of one :class:`RadiusRequest`."""
 
     op = "radius"
-    ok = True
-
-    result: Dict[str, Any]
-
-    @property
-    def clean(self) -> bool:
-        ok = bool(self.result.get("all_ok"))
-        bound = self.result.get("bound")
-        if bound is not None:
-            ok = ok and bool(bound.get("ok"))
-        return ok
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RadiusResponse":
-        return cls(result=dict(data.get("result") or {}))
 
 
-@dataclass(frozen=True)
-class StatsResponse:
+class StatsResponse(ResultResponse):
     """Service counters: requests served, errors, per-cache hit/miss/size."""
 
     op = "stats"
-    ok = True
-
-    result: Dict[str, Any]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StatsResponse":
-        return cls(result=dict(data.get("result") or {}))
 
 
-@dataclass(frozen=True)
-class HealthResponse:
+class HealthResponse(ResultResponse):
     """Liveness and load: workers, queue depth, in-flight gauge, uptime."""
 
     op = "health"
-    ok = True
-
-    result: Dict[str, Any]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HealthResponse":
-        return cls(result=dict(data.get("result") or {}))
 
 
-@dataclass(frozen=True)
-class CancelResponse:
+class CancelResponse(ResultResponse):
     """What a ``cancel`` op found: the id's state and whether it was hit.
 
     ``result`` carries ``request_id``, ``cancelled`` (did the cancel change
@@ -824,16 +732,6 @@ class CancelResponse:
     """
 
     op = "cancel"
-    ok = True
-
-    result: Dict[str, Any]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.op, "ok": True, "result": dict(self.result)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CancelResponse":
-        return cls(result=dict(data.get("result") or {}))
 
 
 @dataclass(frozen=True)

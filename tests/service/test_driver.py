@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.experiments import canonical_payload, run_lower_bound, run_sweep
+from repro.experiments.kernel import KernelSpec
 from repro.experiments.lower_bound import LowerBoundSpec
 from repro.experiments.radius import RadiusSpec
 from repro.experiments.spec import SweepSpec
@@ -148,6 +149,10 @@ class TestShardRequest:
         assert request.sizes == (8, 16)
         assert request.bound == 3
         assert request.shard == (1, 2)
+
+    def test_kinds_without_a_wire_op_are_refused(self):
+        with pytest.raises(DriverError, match="cannot drive experiment kind 'kernel'"):
+            ShardDriver().shard_request(KernelSpec(family="star", sizes=(8,), k=3), 0, 1)
 
 
 class TestDriverValidation:

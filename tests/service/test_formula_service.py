@@ -77,7 +77,7 @@ class TestFormulaMessages:
             FormulaRequest(formula="", family="star", sizes=(4,))
 
     def test_formula_response_round_trips_and_clean(self, service):
-        response = service.formula(
+        response = service.handle(
             FormulaRequest(formula=DOMINATING, family="star", sizes=(4, 6), trials=5)
         )
         assert isinstance(response, FormulaResponse)
@@ -135,7 +135,7 @@ class TestFormulaCertify:
 
 class TestFormulaHandler:
     def test_sweep_with_formula_delegates_to_the_formula_handler(self, service):
-        response = service.sweep(
+        response = service.handle(
             SweepRequest(formula=DOMINATING, family="star", sizes=(4, 6),
                          params={"t": 2}, trials=5)
         )
@@ -144,15 +144,15 @@ class TestFormulaHandler:
 
     def test_formula_sweep_rejects_size_measure_and_id_exponent(self, service):
         base = dict(formula=DOMINATING, family="star", sizes=(4,), trials=5)
-        response = service.sweep(SweepRequest(measure="size", **base))
+        response = service.handle(SweepRequest(measure="size", **base))
         assert isinstance(response, ErrorResponse)
         assert response.code == "invalid-param"
-        response = service.sweep(SweepRequest(id_exponent=2, **base))
+        response = service.handle(SweepRequest(id_exponent=2, **base))
         assert isinstance(response, ErrorResponse)
         assert response.code == "invalid-param"
 
     def test_unknown_family_is_invalid_graph(self, service):
-        response = service.formula(
+        response = service.handle(
             FormulaRequest(formula=DOMINATING, family="nebula", sizes=(4,))
         )
         assert isinstance(response, ErrorResponse)
@@ -193,7 +193,7 @@ class TestFormulaStatsAndHealth:
         assert stats["requests"]["certify"] == 3
 
     def test_formula_requests_are_counted(self, service):
-        service.formula(
+        service.handle(
             FormulaRequest(formula=DOMINATING, family="star", sizes=(4,), trials=5)
         )
         assert service.stats()["service"]["requests"]["formula"] == 1
@@ -227,9 +227,9 @@ class TestFormulaSharding:
         spec = FormulaSpec(
             formula=DOMINATING, family="star", sizes=(4, 6, 8, 10), trials=5
         )
-        full = service.formula(ShardDriver().shard_request(spec, 0, 1))
+        full = service.handle(ShardDriver().shard_request(spec, 0, 1))
         parts = [
-            service.formula(ShardDriver().shard_request(spec, index, 2))
+            service.handle(ShardDriver().shard_request(spec, index, 2))
             for index in range(2)
         ]
         merged = {}

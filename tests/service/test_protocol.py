@@ -79,6 +79,53 @@ class TestHandleLine:
         assert ": " not in line  # compact separators
 
 
+_MALFORMED_BASES = {
+    "certify": {"op": "certify", "scheme": "tree", "graph": "path:4"},
+    "sweep": {"op": "sweep", "scheme": "tree", "family": "path", "sizes": [4], "trials": 2},
+    "formula": {"op": "formula", "formula": "exists x. x = x", "family": "star",
+                "sizes": [4], "trials": 2},
+    "lower-bound": {"op": "lower-bound", "construction": "automorphism", "sizes": [2]},
+    "radius": {"op": "radius", "family": "path", "sizes": [3]},
+}
+_INT_FIELDS = {
+    "certify": ("seed", "trials"),
+    "sweep": ("trials", "seed", "id_exponent"),
+    "formula": ("t", "k", "trials", "seed"),
+    "lower-bound": ("simulate_bits", "max_side_bits", "seed"),
+    "radius": ("bound", "radius", "seed"),
+}
+_MALFORMED_CASES = [
+    (op, name, bad)
+    for op, names in _INT_FIELDS.items()
+    for name in names
+    for bad in ("5", 1.5, True)
+] + [
+    (op, "sizes", bad)
+    for op in ("sweep", "formula", "lower-bound", "radius")
+    for bad in ("48", [8.9, True], ["4"], 5)
+]
+
+
+class TestMalformedIntegerFields:
+    """A wrong-typed integer field is the sender's fault: ``invalid-request``
+    for that op, never an ``internal-error`` and never a coerced run."""
+
+    @pytest.mark.parametrize(("op", "name", "bad"), _MALFORMED_CASES)
+    def test_answered_invalid_request_for_the_op(self, service, op, name, bad):
+        line, keep_going = handle_line(
+            service, encode_line({**_MALFORMED_BASES[op], name: bad})
+        )
+        payload = json.loads(line)
+        assert keep_going and payload["ok"] is False
+        assert (payload["code"], payload["request_op"]) == ("invalid-request", op)
+        assert payload["message"].startswith(f"{name} must be ")
+
+    def test_well_typed_bases_run(self, service):
+        for request in _MALFORMED_BASES.values():
+            line, _ = handle_line(service, encode_line(request))
+            assert json.loads(line)["ok"] is True, line
+
+
 class TestBatchOp:
     def test_batch_answers_every_member_in_order(self, service):
         line, keep_going = handle_line(service, encode_line({

@@ -146,7 +146,7 @@ class TestCacheReuse:
 
 class TestSweepAndStats:
     def test_sweep_request_returns_artifact_payload(self, service):
-        response = service.sweep(
+        response = service.handle(
             SweepRequest(scheme="tree", family="random-tree", sizes=(4, 8), trials=3)
         )
         assert isinstance(response, SweepResponse)
@@ -155,10 +155,10 @@ class TestSweepAndStats:
         assert response.result["bound"]["ok"] is True
 
     def test_sweep_error_mapping(self, service):
-        assert service.sweep(
+        assert service.handle(
             SweepRequest(scheme="nope", family="path", sizes=(4,))
         ).code == "unknown-scheme"
-        assert service.sweep(
+        assert service.handle(
             SweepRequest(scheme="tree", family="nebula", sizes=(4,))
         ).code == "invalid-param"
 
